@@ -54,8 +54,9 @@ SPEEDUP_TARGET = 1.3
 MIXED_SPEEDUP_TARGET = 1.2
 #: Mixed-tau workloads draw per-query thresholds from 1..MIXED_TAU.
 MIXED_TAU = 3
-#: Acceptance bar: recording per-request metrics (counter + latency
-#: histogram observation around every search) must cost < this percent.
+#: Acceptance bar: recording per-request metrics (counter, latency and
+#: queue-wait histogram observations around every search) must cost <
+#: this percent.
 METRICS_OVERHEAD_LIMIT_PCT = 5.0
 
 
@@ -66,8 +67,9 @@ def measure_metrics_overhead(size: int, tau: int, queries: int,
 
     Runs the same repeated-query workload twice per repeat against one
     searcher: once bare, once recording what the service's hot path
-    records per request — a ``requests.search`` counter increment and a
-    latency-histogram observation into a
+    records per request — a ``requests.search`` counter increment, a
+    latency-histogram observation, and the request batcher's timed
+    ``stage_seconds.queue_wait`` observation into a
     :class:`~repro.obs.metrics.MetricsRegistry` (the engine's funnel
     counters are unconditionally on in both runs, so the delta isolates
     the registry).  Both sides take the best of ``repeats`` runs, the
@@ -109,7 +111,9 @@ def measure_metrics_overhead(size: int, tau: int, queries: int,
         registry = MetricsRegistry()
         started = time.perf_counter()
         for query in workload:
+            submitted = time.perf_counter()
             began = time.perf_counter()
+            registry.observe("stage_seconds.queue_wait", began - submitted)
             searcher.search(query, tau)
             registry.inc("requests.search")
             registry.observe("latency_seconds.search",

@@ -7,9 +7,11 @@ cache, and the dynamic index — in under a second, then repeats the exercise
 against a 2-shard server (modulo placement: consecutive ids live on
 different shards, so the near-duplicate searches below are genuinely
 cross-shard scatter-gathers), requires identical answers, continues
-with a live add-shard → query → remove-shard resize under load, and
-finishes with a ``token-jaccard`` kernel pass (serve → insert → search →
-explain → metrics with kernel-tagged funnel counters)::
+with a live add-shard → query → remove-shard resize under load, runs a
+``token-jaccard`` kernel pass (serve → insert → search → explain →
+metrics with kernel-tagged funnel counters), and finishes with an
+unloaded-latency gate (TCP ``search`` p50 at most 3x in-process
+dispatch)::
 
     PYTHONPATH=src python scripts/service_smoke.py
 
@@ -35,14 +37,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import random  # noqa: E402
+import statistics  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 
+from repro.bench.experiments import DEFAULT_SIZES, build_datasets  # noqa: E402
 from repro.cli import main as cli_main  # noqa: E402
 from repro.config import ServiceConfig  # noqa: E402
+from repro.datasets.corruption import apply_random_edits  # noqa: E402
 from repro.obs import parse_prometheus, render_prometheus  # noqa: E402
 from repro.service import BackgroundServer, ServiceClient  # noqa: E402
 
 STRINGS = ["vldb", "pvldb", "sigmod", "sigmmod", "icde", "edbt"]
+#: Unloaded TCP search p50 may cost at most this multiple of the same
+#: request dispatched in process (framing, loopback, the batcher's turn).
+UNLOADED_TCP_LIMIT = 3.0
 
 
 def metrics_smoke(client: ServiceClient,
@@ -286,6 +296,55 @@ def jaccard_smoke() -> dict:
             return payload
 
 
+def unloaded_latency_smoke() -> None:
+    """Gate the unloaded TCP ``search`` p50 at 3x in-process dispatch.
+
+    Sends 240 distinct queries (tau 2, 2k author strings) one after
+    another over one connection to a server with the query cache off
+    (every request is a full index pass), each followed by the same query
+    through the same service's in-process ``handle_request``.  A lone
+    request must not wait on a timer in the request batcher: a 2 ms
+    linger reads 11x here.
+    """
+    rng = random.Random(11)
+    tau = 2
+    scale = 2000 / DEFAULT_SIZES["author"]
+    strings = build_datasets(scale, ["author"])["author"]
+    pool: dict[str, None] = {}
+    while len(pool) < 240:
+        pool[apply_random_edits(rng.choice(strings), rng.randint(0, tau),
+                                rng)] = None
+    workload = list(pool)
+    config = ServiceConfig(port=0, max_tau=tau, cache_capacity=0)
+    background = BackgroundServer(strings, config)
+    with background as (host, port):
+        service = background.service
+        requests = [{"op": "search", "query": query, "tau": tau}
+                    for query in workload]
+        for request in requests:  # warm the searcher's window cache
+            assert service.handle_request(request)["ok"], request
+        # Alternate the two paths query by query, so a drift in host
+        # speed weighs on both sides alike.
+        tcp, in_process = [], []
+        with ServiceClient(host, port) as client:
+            for request in requests:
+                started = time.perf_counter()
+                response = client.request(request)
+                tcp.append(time.perf_counter() - started)
+                assert response["ok"] and not response["cached"], response
+                started = time.perf_counter()
+                service.handle_request(request)
+                in_process.append(time.perf_counter() - started)
+    tcp_ms = statistics.median(tcp) * 1000
+    in_process_ms = statistics.median(in_process) * 1000
+    print(f"unloaded search p50: tcp {tcp_ms:.3f} ms, in-process "
+          f"{in_process_ms:.3f} ms ({tcp_ms / in_process_ms:.2f}x, "
+          f"limit {UNLOADED_TCP_LIMIT}x)")
+    assert tcp_ms <= UNLOADED_TCP_LIMIT * in_process_ms, (
+        f"unloaded TCP search p50 {tcp_ms:.3f} ms exceeds "
+        f"{UNLOADED_TCP_LIMIT}x in-process {in_process_ms:.3f} ms")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="serving-stack smoke test")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
@@ -336,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             assert code == 0, f"admin metrics --prometheus exited {code}"
     sharded_metrics = sharded_smoke()
     jaccard_metrics = jaccard_smoke()
+    unloaded_latency_smoke()
     if args.metrics_out:
         out = Path(args.metrics_out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -352,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
           f"index bytes={stats['index']['approximate_bytes']}), "
           f"2-shard cross-shard + batch queries + top-k-batch + live "
           f"add-shard/remove-shard + metrics/explain funnel + "
-          f"token-jaccard kernel pass verified")
+          f"token-jaccard kernel + unloaded-latency pass verified")
     return 0
 
 

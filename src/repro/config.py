@@ -216,10 +216,6 @@ class ServiceConfig:
         Largest number of queries one ``search-batch`` request line may
         carry (``0`` = unlimited).  Bounds how long a single request can
         monopolise the serving core.
-    batch_window:
-        Seconds the batcher waits for more concurrent requests before
-        draining a non-full batch (small: it only exists to catch requests
-        arriving in the same scheduling quantum).
     compact_interval:
         Number of tombstoned (deleted but still indexed) records the
         dynamic index tolerates before compacting automatically; ``0``
@@ -278,7 +274,6 @@ class ServiceConfig:
     cache_capacity: int = 1024
     max_batch: int = 64
     max_query_batch: int = 1024
-    batch_window: float = 0.002
     compact_interval: int = 64
     shards: int = 1
     shard_policy: str = "hash"
@@ -316,12 +311,6 @@ class ServiceConfig:
                 or not isinstance(self.acceptors, int) or self.acceptors < 1):
             raise ConfigurationError(
                 f"acceptors must be a positive integer, got {self.acceptors!r}")
-        if (isinstance(self.batch_window, bool)
-                or not isinstance(self.batch_window, (int, float))
-                or self.batch_window < 0):
-            raise ConfigurationError(
-                f"batch_window must be a non-negative number, "
-                f"got {self.batch_window!r}")
         if (isinstance(self.slow_query_ms, bool)
                 or not isinstance(self.slow_query_ms, (int, float))
                 or self.slow_query_ms < 0):

@@ -62,21 +62,19 @@ FUNNEL_COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
 
 
 class _Histogram:
-    """One fixed-bucket histogram: bounds, per-bucket counts, sum, count."""
+    """One fixed-bucket histogram: bounds, per-bucket counts, sum."""
 
-    __slots__ = ("bounds", "counts", "total", "count")
+    __slots__ = ("bounds", "counts", "total")
 
     def __init__(self, bounds: tuple[float, ...]) -> None:
         self.bounds = bounds
         # One slot per bound plus the overflow (+Inf) slot.
         self.counts = [0] * (len(bounds) + 1)
         self.total = 0.0
-        self.count = 0
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
-        self.count += 1
 
 
 class MetricsRegistry:
@@ -140,17 +138,22 @@ class MetricsRegistry:
                 if name.startswith(prefix)}
 
     def snapshot(self) -> dict[str, Any]:
-        """The registry as a plain (JSON- and pickle-ready) dictionary."""
-        return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
-            "histograms": {
-                name: {"buckets": list(histogram.bounds),
-                       "counts": list(histogram.counts),
-                       "sum": histogram.total,
-                       "count": histogram.count}
-                for name, histogram in self._histograms.items()},
-        }
+        """The registry as a plain (JSON- and pickle-ready) dictionary.
+
+        Safe to take from another thread than the one recording: every
+        container is copied in one step, and a histogram's ``count`` is
+        summed from its copied buckets, so the two always agree (``sum``
+        may lag an observation in flight).
+        """
+        histograms = {}
+        for name, histogram in list(self._histograms.items()):
+            counts = list(histogram.counts)
+            histograms[name] = {"buckets": list(histogram.bounds),
+                                "counts": counts, "sum": histogram.total,
+                                "count": sum(counts)}
+        return {"counters": dict(self._counters),
+                "gauges": dict(self._gauges),
+                "histograms": histograms}
 
 
 def empty_snapshot() -> dict[str, Any]:

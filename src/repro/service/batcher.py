@@ -2,11 +2,12 @@
 
 Under concurrent load many clients ask similar (often identical) questions
 in the same scheduling quantum.  :class:`RequestBatcher` sits between the
-asyncio transport and the (synchronous) index: requests submitted while a
-batch is open are queued, duplicates are answered by a single execution,
-and the whole batch runs in one call into the serving core — one
-cache-epoch check, one pass over the index per unique query, and no
-interleaved mutations in the middle of a batch.
+asyncio transport and the (synchronous) index: requests submitted before
+the event loop's next turn are queued, duplicates are answered by a single
+execution, and the whole batch runs in one call into the serving core —
+one cache-epoch check, one pass over the index per unique query, and no
+interleaved mutations in the middle of a batch.  A lone request never
+waits on a timer: the drain runs on the very next loop turn.
 
 The batcher is transport-agnostic: it only needs a callable that maps a
 list of unique request keys to a list of results.  That keeps it testable
@@ -17,8 +18,11 @@ sockets, ...).
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
+
+from ..obs.metrics import MetricsRegistry
 
 Key = TypeVar("Key", bound=Hashable)
 
@@ -45,6 +49,11 @@ class BatcherStats:
 class RequestBatcher:
     """Group concurrent :meth:`submit` calls into batched executions.
 
+    The first submit of a batch schedules its drain with
+    ``loop.call_soon``: every submit that lands before the loop runs it
+    (all queries of one ``asyncio.gather``, other connections' requests
+    read in the same loop turn) joins the batch.
+
     Parameters
     ----------
     execute:
@@ -54,10 +63,9 @@ class RequestBatcher:
         request handler).
     max_batch:
         Batch size that triggers an immediate drain.
-    window:
-        Seconds a non-full batch waits for more requests before draining.
-        ``0`` still coalesces: the drain is scheduled as a task, so every
-        request submitted before the loop runs it joins the batch.
+
+    :attr:`metrics` holds the ``stage_seconds.queue_wait`` histogram:
+    per request, the time from submit to the start of its drain.
 
     Examples
     --------
@@ -70,17 +78,15 @@ class RequestBatcher:
     """
 
     def __init__(self, execute: Callable[[list[Key]], Sequence[object]], *,
-                 max_batch: int = 64, window: float = 0.002) -> None:
+                 max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch!r}")
-        if window < 0:
-            raise ValueError(f"window must be non-negative, got {window!r}")
         self._execute = execute
         self.max_batch = max_batch
-        self.window = window
         self.stats = BatcherStats()
-        self._pending: list[tuple[Key, asyncio.Future]] = []
-        self._drain_task: asyncio.Task | None = None
+        self.metrics = MetricsRegistry()
+        self._pending: list[tuple[Key, asyncio.Future, float]] = []
+        self._drain_scheduled = False
 
     async def submit(self, key: Key) -> object:
         """Queue one request and await its result.
@@ -92,45 +98,43 @@ class RequestBatcher:
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((key, future))
+        self._pending.append((key, future, time.perf_counter()))
         self.stats.requests += 1
         if len(self._pending) >= self.max_batch:
-            if self._drain_task is not None:
-                self._drain_task.cancel()
-                self._drain_task = None
+            # The scheduled drain (if any) stays queued: it answers the
+            # submits that arrive after this one in the same loop turn.
             self._drain()
-        elif self._drain_task is None:
-            self._drain_task = loop.create_task(self._drain_later())
+        elif not self._drain_scheduled:
+            self._drain_scheduled = True
+            loop.call_soon(self._scheduled_drain)
         return await future
 
-    async def _drain_later(self) -> None:
-        try:
-            if self.window:
-                await asyncio.sleep(self.window)
-        finally:
-            self._drain_task = None
+    def _scheduled_drain(self) -> None:
+        self._drain_scheduled = False
         self._drain()
 
     def _drain(self) -> None:
         batch, self._pending = self._pending, []
         if not batch:
             return
+        started = time.perf_counter()
         self.stats.batches += 1
         unique: list[Key] = []
         positions: dict[Key, int] = {}
-        for key, _ in batch:
+        for key, _, submitted in batch:
+            self.metrics.observe("stage_seconds.queue_wait", started - submitted)
             if key not in positions:
                 positions[key] = len(unique)
                 unique.append(key)
         try:
             results = self._execute(unique)
         except Exception as error:  # noqa: BLE001 - forwarded to every waiter
-            for _, future in batch:
+            for _, future, _ in batch:
                 if not future.cancelled():
                     future.set_exception(error)
             return
         self.stats.unique_executed += len(unique)
-        for key, future in batch:
+        for key, future, _ in batch:
             if future.cancelled():
                 continue
             result = results[positions[key]]

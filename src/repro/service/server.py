@@ -113,6 +113,15 @@ def _require_int(payload: dict, field: str, *, minimum: int = 0) -> int:
     return value
 
 
+def _batcher_snapshot(batcher: RequestBatcher) -> dict:
+    """A batcher's stats as ``batcher_*`` counters plus its queue waits."""
+    snapshot = batcher.metrics.snapshot()
+    snapshot["counters"].update(
+        (f"batcher_{name}", value)
+        for name, value in batcher.stats.as_dict().items())
+    return snapshot
+
+
 class SimilarityService:
     """Transport-free serving core: dynamic index + cache + dispatch.
 
@@ -159,10 +168,11 @@ class SimilarityService:
         # latency histograms, fed by record_request() on every dispatch
         # (both the transport-free core and the TCP fast paths).
         self.metrics = MetricsRegistry()
-        # One registry per acceptor loop of the TCP transport, registered
-        # by each SimilarityServer that fronts this service and merged
-        # into the ``metrics`` payload alongside the core registries.
-        self.acceptor_registries: list[MetricsRegistry] = []
+        # One registry and request batcher per acceptor loop of the TCP
+        # transport, registered by each SimilarityServer that fronts this
+        # service and merged into the ``metrics`` payload alongside the
+        # core registries.
+        self.acceptors: list[tuple[MetricsRegistry, RequestBatcher]] = []
         # The core serializes dispatch, batch execution, and telemetry
         # reads: with an acceptor pool, several event loops drive this one
         # object from different threads, and neither the LRU cache nor the
@@ -183,18 +193,19 @@ class SimilarityService:
         if closer is not None:
             closer()
 
-    def register_acceptor(self) -> MetricsRegistry:
+    def register_acceptor(self, batcher: RequestBatcher) -> MetricsRegistry:
         """A fresh per-acceptor registry, tracked for the metrics merge.
 
         Each acceptor loop counts its own connections and request lines
-        into its registry (single-writer, so no locking on the hot path);
-        :meth:`metrics_payload` merges them with
-        :func:`~repro.obs.metrics.merge_snapshots` and exposes the raw
-        per-acceptor snapshots so a skewed kernel load-balance is visible.
+        into its registry, and its ``batcher`` its drains (single-writer,
+        so no locking on the hot path); :meth:`metrics_payload` merges
+        them with :func:`~repro.obs.metrics.merge_snapshots` and exposes
+        the raw per-acceptor snapshots so a skewed kernel load-balance is
+        visible.
         """
         registry = MetricsRegistry()
         with self._lock:
-            self.acceptor_registries.append(registry)
+            self.acceptors.append((registry, batcher))
         return registry
 
     # ------------------------------------------------------------------
@@ -594,7 +605,10 @@ class SimilarityService:
         counters plus ``replica_lag_max``/``replicas_alive``/
         ``replicas_total`` gauges — and with an acceptor pool the
         per-acceptor registries join the merge, their raw snapshots
-        exposed under ``acceptors.per_acceptor``.
+        exposed under ``acceptors.per_acceptor``.  Each acceptor's
+        snapshot carries its request batcher: the ``batcher_*`` counters of
+        :class:`~repro.service.batcher.BatcherStats` and the
+        ``stage_seconds.queue_wait`` histogram.
         """
         with self._lock:
             return self._metrics_payload_locked()
@@ -630,9 +644,11 @@ class SimilarityService:
             replica_registry.set_gauge("replicas_total",
                                        replicas["replicas_total"])
             sources.append(replica_registry.snapshot())
-        if self.acceptor_registries:
-            per_acceptor = [registry.snapshot()
-                            for registry in self.acceptor_registries]
+        if self.acceptors:
+            per_acceptor = [
+                merge_snapshots([registry.snapshot(),
+                                 _batcher_snapshot(batcher)])
+                for registry, batcher in self.acceptors]
             payload["acceptors"] = {"count": len(per_acceptor),
                                     "per_acceptor": per_acceptor}
             sources.extend(per_acceptor)
@@ -745,14 +761,15 @@ class SimilarityServer:
         self.host = config.host if host is None else host
         self.port = config.port if port is None else port
         self.batcher = RequestBatcher(service.execute_queries,
-                                      max_batch=config.max_batch,
-                                      window=config.batch_window)
+                                      max_batch=config.max_batch)
         self.acceptor_id = acceptor_id
-        self.acceptor_metrics = service.register_acceptor()
+        self.acceptor_metrics = service.register_acceptor(self.batcher)
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
         self._reshard_task: "asyncio.Task | None" = None
+        # Live connection handlers, cancelled and awaited by stop().
+        self._connections: set[asyncio.Task] = set()
         # Pool plumbing.  Primary only: the loops/servers/threads of the
         # extra acceptors it spawned.  Extras only: on_shutdown points back
         # at the primary's request_stop, so a shutdown op arriving on any
@@ -847,7 +864,8 @@ class SimilarityServer:
         migration state is process-local, so there is nothing to hand
         over; a restarted server simply rebuilds placement from scratch.
         On the primary this also stops every extra acceptor it spawned
-        and joins their threads.
+        and joins their threads.  Open connections are closed: their
+        handlers are cancelled and awaited, so none outlives the server.
         """
         if self._reshard_task is not None:
             self._reshard_task.cancel()
@@ -865,6 +883,10 @@ class SimilarityServer:
         if self._server is None:
             return
         self._server.close()
+        handlers = list(self._connections)
+        for handler in handlers:
+            handler.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
         if self._stopped is not None:
@@ -878,6 +900,8 @@ class SimilarityServer:
         # (and the kernel's SO_REUSEPORT load-balance) shows up under
         # ``acceptors.per_acceptor`` in the metrics payload.
         self.acceptor_metrics.inc("acceptor_connections")
+        handler = asyncio.current_task()
+        self._connections.add(handler)
         try:
             while True:
                 try:
@@ -928,12 +952,18 @@ class SimilarityServer:
                     break
         except ConnectionResetError:  # client vanished mid-request
             pass
+        except asyncio.CancelledError:
+            # stop() is closing the connection.  Finish normally: asyncio's
+            # stream protocol logs a traceback for a cancelled handler.
+            pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            except (ConnectionResetError, BrokenPipeError,
+                    asyncio.CancelledError):
                 pass
+            self._connections.discard(handler)
 
     def _handle_reshard(self, payload: dict) -> dict:
         """Start a fleet resize; drain it in the background.

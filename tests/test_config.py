@@ -91,7 +91,6 @@ class TestServiceConfig:
         ("max_tau", -1), ("max_tau", "2"),
         ("cache_capacity", -5), ("cache_capacity", 1.5),
         ("max_batch", 0), ("max_batch", True),
-        ("batch_window", -0.1), ("batch_window", "fast"),
         ("compact_interval", -1),
         ("shards", 0), ("shards", True), ("shards", 1.5),
         ("shard_policy", "round-robin"), ("shard_policy", 3),
@@ -102,6 +101,12 @@ class TestServiceConfig:
     def test_invalid_values_rejected(self, field, bad):
         with pytest.raises((ConfigurationError, InvalidThresholdError)):
             ServiceConfig(**{field: bad})
+
+    def test_batch_window_option_is_gone(self):
+        # The batcher drains on the next event-loop turn: it has no
+        # timer to configure.
+        with pytest.raises(TypeError, match="batch_window"):
+            ServiceConfig(batch_window=0.002)
 
     def test_bad_shards_rejected_at_construction(self):
         # The full sharded stack must never see shards < 1: the config

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,32 @@ class TestRegistry:
         registry.set_gauge("b", 2)
         registry.observe("c", 0.01)
         assert json.loads(json.dumps(registry.snapshot())) == registry.snapshot()
+
+    def test_snapshot_from_another_thread_is_self_consistent(self):
+        # One recording thread (an acceptor loop) and one scraping thread
+        # (a metrics request on another acceptor): every snapshot must
+        # hold buckets that add up to its count, and never fail on a
+        # histogram created mid-copy.
+        registry = MetricsRegistry()
+        done = threading.Event()
+
+        def record():
+            for index in range(200_000):
+                registry.observe(f"lat.{index % 50}", 0.001)
+            done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=record, daemon=True)
+        try:
+            writer.start()
+            while not done.is_set():
+                for histogram in registry.snapshot()["histograms"].values():
+                    assert histogram["count"] == sum(histogram["counts"])
+        finally:
+            sys.setswitchinterval(interval)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 class TestMergeSnapshots:

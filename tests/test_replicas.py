@@ -403,6 +403,12 @@ class TestAcceptorPool:
                 for snapshot in acceptors["per_acceptor"])
             assert connections >= 9
             assert metrics["merged"]["counters"]["acceptor_requests"] >= 9
+            # Every acceptor's batcher folds into the merged snapshot.
+            batched = sum(
+                snapshot["counters"].get("batcher_requests", 0)
+                for snapshot in acceptors["per_acceptor"])
+            assert batched == metrics["merged"]["counters"][
+                "batcher_requests"] >= 8
 
     def test_shutdown_on_any_acceptor_stops_the_pool(self):
         config = ServiceConfig(port=0, acceptors=2)

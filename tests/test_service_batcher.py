@@ -31,7 +31,7 @@ def gather(batcher, keys):
 class TestCoalescing:
     def test_concurrent_submits_share_one_batch(self):
         recorder = Recorder()
-        batcher = RequestBatcher(recorder, max_batch=64, window=0.005)
+        batcher = RequestBatcher(recorder, max_batch=64)
         results = gather(batcher, ["a", "b", "a", "a", "b"])
         assert results == ["result:a", "result:b", "result:a", "result:a",
                            "result:b"]
@@ -41,29 +41,51 @@ class TestCoalescing:
         assert batcher.stats.coalesced == 3
         assert batcher.stats.batches == 1
 
-    def test_zero_window_still_coalesces_same_tick_submits(self):
+    def test_same_turn_submits_coalesce(self):
         recorder = Recorder()
-        batcher = RequestBatcher(recorder, max_batch=64, window=0)
+        batcher = RequestBatcher(recorder, max_batch=64)
         results = gather(batcher, ["x", "x", "y"])
         assert results == ["result:x", "result:x", "result:y"]
         assert len(recorder.batches) == 1
 
-    def test_max_batch_drains_immediately(self):
+    def test_sixteen_key_gather_is_one_drain(self):
+        # A search-batch request gathers its queries' submits in one loop
+        # turn: they must reach the index as one execution.
         recorder = Recorder()
-        batcher = RequestBatcher(recorder, max_batch=2, window=10.0)
+        batcher = RequestBatcher(recorder, max_batch=64)
+        keys = [f"q{i}" for i in range(16)]
+        assert gather(batcher, keys) == [f"result:{key}" for key in keys]
+        assert recorder.batches == [keys]
+        assert batcher.stats.batches == 1
+
+    def test_max_batch_splits_a_gather_into_full_drains(self):
+        recorder = Recorder()
+        batcher = RequestBatcher(recorder, max_batch=2)
+        results = gather(batcher, ["a", "b", "c", "d", "e"])
+        assert results == [f"result:{key}" for key in "abcde"]
+        # Each full pair drains at once; the remainder on the next turn.
+        assert recorder.batches == [["a", "b"], ["c", "d"], ["e"]]
+        assert batcher.stats.batches == 3
+
+    def test_lone_submit_schedules_no_timer(self):
+        recorder = Recorder()
+        batcher = RequestBatcher(recorder)
+
+        def no_timers(*args, **kwargs):
+            raise AssertionError("the batcher scheduled a timer")
 
         async def run():
-            # window is 10s: only the max_batch trigger can drain in time.
-            return await asyncio.wait_for(
-                asyncio.gather(batcher.submit("a"), batcher.submit("b")),
-                timeout=5.0)
+            loop = asyncio.get_running_loop()
+            loop.call_later = no_timers
+            loop.call_at = no_timers
+            return await batcher.submit("a")
 
-        assert asyncio.run(run()) == ["result:a", "result:b"]
-        assert recorder.batches == [["a", "b"]]
+        assert asyncio.run(run()) == "result:a"
+        assert recorder.batches == [["a"]]
 
     def test_sequential_submits_run_in_separate_batches(self):
         recorder = Recorder()
-        batcher = RequestBatcher(recorder, window=0)
+        batcher = RequestBatcher(recorder)
 
         async def run():
             first = await batcher.submit("a")
@@ -75,17 +97,25 @@ class TestCoalescing:
         assert batcher.stats.batches == 2
 
     def test_list_results_are_copied_per_waiter(self):
-        batcher = RequestBatcher(lambda keys: [[1, 2] for _ in keys],
-                                 window=0.005)
+        batcher = RequestBatcher(lambda keys: [[1, 2] for _ in keys])
         first, second = gather(batcher, ["k", "k"])
         first.append(3)
         assert second == [1, 2]
+
+    def test_queue_wait_observed_per_request(self):
+        batcher = RequestBatcher(Recorder())
+        gather(batcher, ["a", "a", "b"])
+        histogram = batcher.metrics.snapshot()["histograms"][
+            "stage_seconds.queue_wait"]
+        assert histogram["count"] == 3
+        # Drained on the next loop turn.
+        assert 0 <= histogram["sum"] < 1.0
 
 
 class TestFailure:
     def test_execute_error_reaches_every_waiter(self):
         recorder = Recorder(fail=True)
-        batcher = RequestBatcher(recorder, window=0.005)
+        batcher = RequestBatcher(recorder)
         results = gather(batcher, ["a", "b"])
         assert all(isinstance(result, RuntimeError) for result in results)
         assert batcher.stats.unique_executed == 0
@@ -93,5 +123,5 @@ class TestFailure:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             RequestBatcher(lambda keys: [], max_batch=0)
-        with pytest.raises(ValueError):
-            RequestBatcher(lambda keys: [], window=-1)
+        with pytest.raises(TypeError):
+            RequestBatcher(lambda keys: [], window=0.002)

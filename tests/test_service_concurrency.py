@@ -98,10 +98,27 @@ class _Reader(_Worker):
                 f"base query {query!r} returned {texts}")
 
 
-def run_concurrent_load(config: ServiceConfig) -> None:
+class _BatchReader(_Worker):
+    """Query the whole base collection in one ``search-batch`` per round.
+
+    Each request's queries are submitted in one loop turn, so they share a
+    batcher drain — and so do the writers' searches that land in it.
+    """
+
+    def work(self, client):
+        for _ in range(ROUNDS):
+            response = self.observe(client.request(
+                {"op": "search-batch", "queries": BASE, "tau": 0}))
+            texts = [[m["text"] for m in matches]
+                     for matches in response["results"]]
+            assert texts == [[query] for query in BASE], texts
+
+
+def run_concurrent_load(config: ServiceConfig, reader=_Reader) -> dict:
+    """Run the writers and readers; return the server's final metrics."""
     with BackgroundServer(BASE, config) as (host, port):
         workers = [_Writer(host, port, f"w{i}") for i in range(WRITERS)]
-        workers += [_Reader(host, port) for _ in range(READERS)]
+        workers += [reader(host, port) for _ in range(READERS)]
         for worker in workers:
             worker.start()
         for worker in workers:
@@ -112,6 +129,8 @@ def run_concurrent_load(config: ServiceConfig) -> None:
         for worker in workers:
             # Epoch consistency: on one connection the epoch never rewinds.
             assert worker.epochs == sorted(worker.epochs), worker.epochs
+        with ServiceClient(host, port) as client:
+            return client.metrics()
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -121,9 +140,12 @@ def test_interleaved_clients_observe_consistent_results(shards):
         compact_interval=8))
 
 
-def test_interleaved_clients_with_tiny_batch_window():
-    # A wider batch window forces queries from different connections into
-    # shared batcher executions while mutations land between batches.
-    run_concurrent_load(ServiceConfig(
-        port=0, max_tau=2, batch_window=0.005, shards=2,
-        shard_backend="thread"))
+def test_interleaved_clients_with_batch_requests():
+    # search-batch requests force queries into shared batcher drains
+    # while mutations from other connections land between drains.
+    metrics = run_concurrent_load(ServiceConfig(
+        port=0, max_tau=2, shards=2, shard_backend="thread"),
+        reader=_BatchReader)
+    counters = metrics["merged"]["counters"]
+    assert counters["batcher_requests"] >= READERS * ROUNDS * len(BASE)
+    assert counters["batcher_batches"] < counters["batcher_requests"]

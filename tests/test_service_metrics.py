@@ -193,6 +193,23 @@ class TestOverTheWire:
         assert counters["requests.search"] >= 1
         assert counters["engine_accepted"] >= 1
 
+    def test_batcher_stats_and_queue_wait_in_metrics(self, client):
+        client.search("vldb", tau=1)
+        client.search_batch(["vldb", "icde", "vldb"], tau=1)
+        payload = client.metrics()
+        (acceptor,) = payload["acceptors"]["per_acceptor"]
+        for snapshot in (acceptor, payload["merged"]):
+            counters = snapshot["counters"]
+            assert counters["batcher_requests"] >= 4
+            assert counters["batcher_batches"] >= 2
+            # The batch's duplicate "vldb" shared one execution.
+            assert counters["batcher_coalesced"] >= 1
+            # One queue-wait observation per request the batcher saw.
+            assert (snapshot["histograms"]["stage_seconds.queue_wait"]
+                    ["count"] == counters["batcher_requests"])
+        families = parse_prometheus(render_prometheus(payload["merged"]))
+        assert "passjoin_stage_seconds_queue_wait" in families
+
     def test_explain_op_over_tcp(self, client):
         report = client.explain("vldb", tau=1)
         matches = client.search("vldb", tau=1)

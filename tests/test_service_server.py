@@ -154,7 +154,7 @@ class TestSyncClientEndToEnd:
 class TestAsyncClientEndToEnd:
     def test_concurrent_queries_coalesce(self):
         async def scenario():
-            config = ServiceConfig(port=0, max_tau=2, batch_window=0.01)
+            config = ServiceConfig(port=0, max_tau=2)
             service = SimilarityService(STRINGS, config)
             server = SimilarityServer(service)
             host, port = await server.start()
@@ -173,6 +173,33 @@ class TestAsyncClientEndToEnd:
         assert all(result == results[0] for result in results)
         assert stats.requests == 5
         assert stats.unique_executed == 1  # one index pass for all five
+
+    def test_stop_closes_open_connections_cleanly(self):
+        # stop() must finish every connection handler itself: one left for
+        # asyncio.run to cancel at loop teardown logs a CancelledError
+        # traceback through the loop's exception handler.
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context))
+            service = SimilarityService(STRINGS, ServiceConfig(port=0))
+            server = SimilarityServer(service)
+            host, port = await server.start()
+            clients = [await AsyncServiceClient.connect(host, port)
+                       for _ in range(5)]
+            for client_ in clients:
+                assert await client_.ping() is True
+            idle = await AsyncServiceClient.connect(host, port)
+            for client_ in clients:
+                await client_.close()
+            await server.stop()
+            # No handler outlives stop(): only this task is left.
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            await idle.close()
+
+        asyncio.run(scenario())
+        assert errors == []
 
     def test_full_vocabulary(self):
         async def scenario():
